@@ -6,9 +6,12 @@
 //! the payoff of checkpointing), and a torn WAL tail (replay plus the
 //! atomic rewrite that truncates the tail). Recovery is the hot path of
 //! the crash-consistency harness (`crates/db/tests/crash_consistency.rs`),
-//! which runs it at every crash point; this bench prices it.
+//! which runs it at every crash point; this bench prices it. Sizes run
+//! to 10⁶ rows so a per-row cost that grows with the table shows up as
+//! falling throughput; `PERFDMF_BENCH_QUICK` keeps only the smallest.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use perfdmf_bench::sizes;
 use perfdmf_db::{Connection, Value};
 use std::fs::OpenOptions;
 use std::io::Write;
@@ -47,7 +50,7 @@ fn populate(dir: &Path, rows: usize) {
 fn bench_reopen_wal_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_reopen_wal_replay");
     group.sample_size(20);
-    for rows in [100usize, 1_000, 10_000] {
+    for rows in sizes(&[100, 1_000, 10_000, 100_000, 1_000_000]) {
         let dir = fresh_dir(&format!("replay_{rows}"));
         populate(&dir, rows);
         group.throughput(Throughput::Elements(rows as u64));
@@ -62,7 +65,7 @@ fn bench_reopen_wal_replay(c: &mut Criterion) {
 fn bench_reopen_after_checkpoint(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_reopen_after_checkpoint");
     group.sample_size(20);
-    for rows in [100usize, 1_000, 10_000] {
+    for rows in sizes(&[100, 1_000, 10_000, 100_000, 1_000_000]) {
         let dir = fresh_dir(&format!("ckpt_{rows}"));
         populate(&dir, rows);
         Connection::open(&dir)

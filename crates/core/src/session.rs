@@ -362,16 +362,7 @@ impl DatabaseSession {
     pub fn event_aggregates(&self, metric_name: &str) -> Result<Vec<EventAggregate>> {
         let trial = self.require_trial()?;
         let rs = self.conn.query(
-            "SELECT e.id, e.name, COUNT(*) AS n,
-                    MIN(p.exclusive) AS mn, MAX(p.exclusive) AS mx,
-                    AVG(p.exclusive) AS avg_excl, STDDEV(p.exclusive) AS sd,
-                    AVG(p.inclusive) AS avg_incl
-             FROM interval_location_profile p
-             JOIN interval_event e ON p.interval_event = e.id
-             JOIN metric m ON p.metric = m.id
-             WHERE e.trial = ? AND m.name = ?
-             GROUP BY e.id, e.name
-             ORDER BY e.id",
+            EVENT_AGGREGATES_SQL,
             &[Value::Int(trial), Value::Text(metric_name.into())],
         )?;
         Ok(rs
@@ -390,6 +381,21 @@ impl DatabaseSession {
             .collect())
     }
 }
+
+/// Per-event aggregates of one trial (`?` trial id, `?` metric name).
+/// The fact table is the base: when the trial holds a small share of the
+/// archive, the trial filter on `e` reduces it to the trial's rows
+/// through a semi-join on `ix_ilp_event`.
+pub(crate) const EVENT_AGGREGATES_SQL: &str = "SELECT e.id, e.name, COUNT(*) AS n,
+        MIN(p.exclusive) AS mn, MAX(p.exclusive) AS mx,
+        AVG(p.exclusive) AS avg_excl, STDDEV(p.exclusive) AS sd,
+        AVG(p.inclusive) AS avg_incl
+     FROM interval_location_profile p
+     JOIN interval_event e ON p.interval_event = e.id
+     JOIN metric m ON p.metric = m.id
+     WHERE e.trial = ? AND m.name = ?
+     GROUP BY e.id, e.name
+     ORDER BY e.id";
 
 fn materialize(rs: &ResultSet) -> Vec<FlexRow> {
     rs.rows
@@ -586,5 +592,75 @@ mod tests {
         assert_eq!(row.field("contexts_per_node"), Some(&Value::Int(1)));
         assert_eq!(row.field("threads_per_context"), Some(&Value::Int(1)));
         assert_eq!(row.field("source_format"), Some(&Value::from("tau")));
+    }
+
+    /// The line of an EXPLAIN ANALYZE plan that starts with `prefix`.
+    fn analyze_line(conn: &Connection, sql: &str, params: &[Value], prefix: &str) -> String {
+        let rs = conn
+            .query(&format!("EXPLAIN ANALYZE {sql}"), params)
+            .unwrap();
+        let lines: Vec<&str> = rs.rows.iter().map(|r| r[0].as_text().unwrap()).collect();
+        lines
+            .iter()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no {prefix:?} line in:\n{}", lines.join("\n")))
+            .to_string()
+    }
+
+    #[test]
+    fn trial_queries_examine_only_the_trials_fact_rows() {
+        let mut s = session();
+        let mut trials = Vec::new();
+        for i in 0..8 {
+            let p = tiny_profile(&format!("t{i}"), 1.0 + i as f64);
+            trials.push(s.store_profile("a", "e", &p).unwrap());
+        }
+        let conn = s.connection().clone();
+        let total = conn.row_count("interval_location_profile").unwrap();
+        // 2 events x 4 threads x 1 metric per trial.
+        let own = 8;
+        assert_eq!(total, 8 * own);
+        let trial = Value::Int(trials[3]);
+
+        // event_aggregates: the fact table is the base, reduced to the
+        // trial's rows through the trial's event ids.
+        let line = analyze_line(
+            &conn,
+            EVENT_AGGREGATES_SQL,
+            &[trial.clone(), Value::from("TIME")],
+            "index scan on interval_location_profile",
+        );
+        assert!(
+            line.starts_with(&format!(
+                "index scan on interval_location_profile ({own} candidate row(s) of {total}), semi-join via ix_ilp_event from e (2 key(s))"
+            )),
+            "{line}"
+        );
+        assert!(line.contains(&format!("[actual rows={own},")), "{line}");
+
+        // load_trial: the trial's events probe the fact table's index.
+        let line = analyze_line(
+            &conn,
+            &crate::upload::location_sql(false),
+            std::slice::from_ref(&trial),
+            "inner index-probe join with interval_location_profile",
+        );
+        assert!(line.contains("via ix_ilp_event"), "{line}");
+        assert!(line.contains(&format!("keys=2, examined={own},")), "{line}");
+
+        // A node-selective load reads the same rows through the semi-join.
+        let sql = format!("{} AND p.node = ?", crate::upload::location_sql(true));
+        let line = analyze_line(
+            &conn,
+            &sql,
+            &[trial, Value::Int(1)],
+            "index scan on interval_location_profile",
+        );
+        assert!(
+            line.contains(&format!(
+                "({own} candidate row(s) of {total}), semi-join via ix_ilp_event"
+            )),
+            "{line}"
+        );
     }
 }

@@ -228,6 +228,38 @@ pub fn load_trial(conn: &Connection, trial_id: i64) -> Result<Profile> {
     load_trial_filtered(conn, trial_id, &LoadFilter::default())
 }
 
+/// The fact-row query of a trial load (one `?`: the trial id), before
+/// any node/context/thread conjuncts are appended.
+///
+/// Join order matters at Miranda scale (~10⁶ fact rows): for full loads
+/// the small dimension table (interval_event) is the base, so its trial
+/// filter is an index scan; for node/context/thread selective loads the
+/// fact table is the base, so its filters are pushed down before
+/// joining. When the trial holds a small share of the archive, the
+/// planner reads only its fact rows either way: a full load probes
+/// `ix_ilp_event` with the trial's event ids, a selective load reduces
+/// its base through a semi-join on the same index.
+pub(crate) fn location_sql(selective: bool) -> String {
+    const COLS: &str = "p.interval_event, p.metric, p.node, p.context, p.thread,
+                p.inclusive, p.inclusive_percentage, p.exclusive,
+                p.exclusive_percentage, p.inclusive_per_call, p.num_calls, p.num_subrs";
+    if selective {
+        format!(
+            "SELECT {COLS}
+             FROM interval_location_profile p
+             JOIN interval_event e ON p.interval_event = e.id
+             WHERE e.trial = ?"
+        )
+    } else {
+        format!(
+            "SELECT {COLS}
+             FROM interval_event e
+             JOIN interval_location_profile p ON p.interval_event = e.id
+             WHERE e.trial = ?"
+        )
+    }
+}
+
 /// Load a trial with node/context/thread/metric selection (paper §4).
 pub fn load_trial_filtered(
     conn: &Connection,
@@ -290,30 +322,8 @@ pub fn load_trial_filtered(
     }
 
     // Location rows, filtered in SQL where possible.
-    // Join order matters at Miranda scale (~10⁶ fact rows): for full
-    // loads the small dimension table (interval_event) is the base so the
-    // trial filter is pushed down before the hash join probes the fact
-    // table; for node/context/thread-selective loads the fact table is
-    // the base so its filters are pushed down before joining instead.
     let selective = filter.node.is_some() || filter.context.is_some() || filter.thread.is_some();
-    const COLS: &str = "p.interval_event, p.metric, p.node, p.context, p.thread,
-                p.inclusive, p.inclusive_percentage, p.exclusive,
-                p.exclusive_percentage, p.inclusive_per_call, p.num_calls, p.num_subrs";
-    let mut sql = if selective {
-        format!(
-            "SELECT {COLS}
-             FROM interval_location_profile p
-             JOIN interval_event e ON p.interval_event = e.id
-             WHERE e.trial = ?"
-        )
-    } else {
-        format!(
-            "SELECT {COLS}
-             FROM interval_event e
-             JOIN interval_location_profile p ON p.interval_event = e.id
-             WHERE e.trial = ?"
-        )
-    };
+    let mut sql = location_sql(selective);
     let mut params = vec![Value::Int(trial_id)];
     if let Some(n) = filter.node {
         sql.push_str(" AND p.node = ?");

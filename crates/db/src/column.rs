@@ -274,6 +274,17 @@ impl ColumnCache {
     }
 }
 
+/// Serializes the unit tests that build column chunks: each charges the
+/// process-wide [`cached_bytes`] counter, which the budget tests assert
+/// on exactly, and `cargo test` runs tests on parallel threads.
+#[cfg(test)]
+pub(crate) fn budget_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // The lock guards no data, so a test that panicked holding it left
+    // nothing to repair.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,6 +324,7 @@ mod tests {
 
     #[test]
     fn build_typed_chunks_with_bitmaps() {
+        let _budget = budget_test_lock();
         let rows = slab(100);
         let cache = ColumnCache::default();
         let (chunk, hit) = cache.chunk(&schema(), &rows, 0);
@@ -342,6 +354,7 @@ mod tests {
 
     #[test]
     fn invalidation_is_per_chunk() {
+        let _budget = budget_test_lock();
         let rows = slab(CHUNK_ROWS + 10);
         let cache = ColumnCache::default();
         cache.chunk(&schema(), &rows, 0);
@@ -357,6 +370,7 @@ mod tests {
 
     #[test]
     fn budget_accounting_releases_on_drop() {
+        let _budget = budget_test_lock();
         let rows = slab(256);
         let before = cached_bytes();
         {

@@ -23,7 +23,7 @@ use crate::table::{Row, RowId, Table};
 use crate::value::Value;
 use perfdmf_pool as pool;
 use perfdmf_telemetry as telemetry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::ops::Range;
 use std::time::Instant;
@@ -79,8 +79,9 @@ pub(crate) struct ExecProfile {
     /// (live rows, chunks, cache hits, cache misses, partitions, wall ns)
     /// of a columnar scan (fused scan + filter + aggregate).
     colscan: Option<(u64, usize, u64, u64, usize, u64)>,
-    /// (rows out, wall ns) per join, left to right.
-    joins: Vec<(u64, u64)>,
+    /// Per join, left to right: rows out, right rows examined, distinct
+    /// keys probed (index-probe joins only), wall ns.
+    joins: Vec<(u64, u64, Option<usize>, u64)>,
     /// (rows in, rows out, partitions used, wall ns) of the WHERE pass.
     filter: Option<(u64, u64, usize, u64)>,
     /// (groups, partitions used, wall ns) of the aggregate pass.
@@ -571,8 +572,10 @@ fn exec_scan(
     // Candidate ids, when the access method prescribes an order other
     // than ascending row id.
     let ids: Option<Vec<RowId>> = match &scan.access {
-        Access::Seq => None,
+        // Probes only annotate join right sides, which never come here.
+        Access::Seq | Access::Probe { .. } => None,
         Access::Index(choice) => Some(choice.ids.clone()),
+        Access::SemiJoin { ids, .. } => Some(ids.clone()),
         Access::IndexOrder { column, .. } => {
             let col = layout1.resolve(None, column)?;
             let Some(ix) = table.index_on(col) else {
@@ -714,6 +717,13 @@ fn exec_join(
     let right_layout1 = right.layout1();
     let right_width = right.columns.len();
 
+    let equi = match kind {
+        JoinKind::Cross => None,
+        JoinKind::Inner | JoinKind::Left => {
+            on.and_then(|on| equi_offsets(on, &left_layout, &right.binding, &right.columns))
+        }
+    };
+
     let mut bindings = left_layout.bindings().to_vec();
     bindings.push((right.binding.clone(), right.columns.clone()));
     let full_layout = Layout::new(bindings);
@@ -722,9 +732,34 @@ fn exec_join(
     // Prefiltering INNER/CROSS right sides only drops rows that could
     // never survive the residual WHERE, and keeps survivors in the same
     // relative order — so join output is a verbatim subsequence-free
-    // match of the unoptimized result.
+    // match of the unoptimized result. An index probe reads only the
+    // rows keyed by some left key, sorted back into row-id order: every
+    // row the hash join below can match, in the order a full scan sees
+    // them, so the output is the same.
+    let mut probed_keys = None;
+    let candidates: Box<dyn Iterator<Item = &Row>> = match (&right.access, equi) {
+        (Access::Probe { index_name, .. }, Some((l_off, r_off))) => {
+            let ix = right_table.index_on(r_off).ok_or_else(|| {
+                DbError::Unsupported(format!("index-probe join lost its index {index_name}"))
+            })?;
+            let mut keys: HashSet<&Value> = HashSet::new();
+            let mut ids: Vec<RowId> = Vec::new();
+            for l in &left_rows {
+                let key = &l[l_off];
+                if !key.is_null() && keys.insert(key) {
+                    ids.extend_from_slice(ix.lookup(key));
+                }
+            }
+            ids.sort_unstable();
+            probed_keys = Some(keys.len());
+            Box::new(ids.into_iter().filter_map(|id| right_table.row(id)))
+        }
+        _ => Box::new(right_table.iter().map(|(_, row)| row)),
+    };
     let mut right_rows: Vec<&Row> = Vec::new();
-    for (_, row) in right_table.iter() {
+    let mut examined = 0u64;
+    for row in candidates {
+        examined += 1;
         if pushed_match(right, &right_layout1, row, params)? {
             right_rows.push(row);
         }
@@ -755,9 +790,7 @@ fn exec_join(
         JoinKind::Inner | JoinKind::Left => {
             let on = on.ok_or_else(|| DbError::Unsupported("JOIN requires ON".into()))?;
             // Try hash join on a simple equi-condition.
-            if let Some((l_off, r_off)) =
-                equi_offsets(on, &left_layout, &right.binding, &right.columns)
-            {
+            if let Some((l_off, r_off)) = equi {
                 let mut table: HashMap<Value, Vec<&Row>> = HashMap::new();
                 for r in &right_rows {
                     let key = &r[r_off];
@@ -808,7 +841,8 @@ fn exec_join(
     }
     let scanned = joined.len() as u64;
     if let Some(p) = prof {
-        p.joins.push((scanned, stage_ns(join_t0)));
+        p.joins
+            .push((scanned, examined, probed_keys, stage_ns(join_t0)));
     }
     Ok((full_layout, joined, scanned))
 }
@@ -986,6 +1020,7 @@ fn render_plan(planned: &PlannedSelect<'_>) -> Vec<String> {
         vec![(base.binding.clone(), base.columns.clone())];
     for (right, kind, on) in &joins {
         let left_layout = Layout::new(bindings.clone());
+        let mut probe = String::new();
         let strategy = match kind {
             JoinKind::Cross => "cross join (cartesian)".to_string(),
             JoinKind::Inner | JoinKind::Left => {
@@ -994,16 +1029,29 @@ fn render_plan(planned: &PlannedSelect<'_>) -> Vec<String> {
                 } else {
                     "inner"
                 };
-                match on
-                    .and_then(|on| equi_offsets(on, &left_layout, &right.binding, &right.columns))
-                {
-                    Some(_) => format!("{k} hash join"),
-                    None => format!("{k} nested-loop join"),
+                let equi = on
+                    .and_then(|on| equi_offsets(on, &left_layout, &right.binding, &right.columns));
+                match (equi, &right.access) {
+                    (
+                        Some(_),
+                        Access::Probe {
+                            index_name,
+                            est_keys,
+                            rows_per_key,
+                        },
+                    ) => {
+                        probe = format!(
+                            " via {index_name} (≤{est_keys} key(s) × {rows_per_key} row(s) per key)"
+                        );
+                        format!("{k} index-probe join")
+                    }
+                    (Some(_), _) => format!("{k} hash join"),
+                    (None, _) => format!("{k} nested-loop join"),
                 }
             }
         };
         lines.push(format!(
-            "{strategy} with {} ({} row(s))",
+            "{strategy} with {} ({} row(s)){probe}",
             right.table_name,
             right.source.len()
         ));
@@ -1085,6 +1133,18 @@ fn scan_line(scan: &ScanNode<'_>) -> String {
                 }
                 l
             }
+            Access::SemiJoin {
+                ids,
+                index_name,
+                from,
+                keys,
+                ..
+            } => format!(
+                "index scan on {} ({} candidate row(s) of {}), semi-join via {index_name} from {from} ({keys} key(s))",
+                scan.table_name,
+                ids.len(),
+                table.len()
+            ),
             Access::IndexOrder { index_name, column } => format!(
                 "index-order scan on {} ({} row(s)) via {}, ascending by {}",
                 scan.table_name,
@@ -1092,7 +1152,9 @@ fn scan_line(scan: &ScanNode<'_>) -> String {
                 index_name,
                 column
             ),
-            Access::Seq => format!("seq scan on {} ({} row(s))", scan.table_name, table.len()),
+            Access::Seq | Access::Probe { .. } => {
+                format!("seq scan on {} ({} row(s))", scan.table_name, table.len())
+            }
         }
     };
     if let Some(take) = scan.stop_after {
@@ -1158,8 +1220,12 @@ pub fn explain_analyze_select(
                 ));
             }
         } else if line.contains(" join with ") || line.starts_with("cross join") {
-            if let Some((rows_out, ns)) = joins.next() {
-                line.push_str(&format!(" [actual rows={rows_out}, {}]", fmt_ns(*ns)));
+            if let Some((rows_out, examined, keys, ns)) = joins.next() {
+                let keys = keys.map(|k| format!("keys={k}, ")).unwrap_or_default();
+                line.push_str(&format!(
+                    " [actual rows={rows_out}, {keys}examined={examined}, {}]",
+                    fmt_ns(*ns)
+                ));
             }
         } else if line.starts_with("filter: WHERE") {
             if let Some((rows_in, rows_out, parts, ns)) = prof.filter {
@@ -1265,7 +1331,7 @@ fn masked_clone(row: &Row, mask: &Option<Vec<bool>>) -> Row {
 
 /// If `on` is `left_col = right_col` (either order), return flat offsets
 /// (left offset in the accumulated layout, right offset in the right table).
-fn equi_offsets(
+pub(crate) fn equi_offsets(
     on: &Expr,
     left_layout: &Layout,
     right_binding: &str,

@@ -936,6 +936,7 @@ mod tests {
 
     #[test]
     fn kernels_match_serial_accumulators() {
+        let _budget = crate::column::budget_test_lock();
         let t = table_with(10_000); // spans 3 chunks
         let exprs = vec![
             agg(AggregateFn::Count, None),
@@ -953,6 +954,7 @@ mod tests {
 
     #[test]
     fn predicates_match_row_filtering() {
+        let _budget = crate::column::budget_test_lock();
         let t = table_with(6_000);
         let col = |c: &str| Expr::Column {
             table: None,
@@ -1061,6 +1063,7 @@ mod tests {
 
     #[test]
     fn merge_order_is_chunk_order_for_any_partitioning() {
+        let _budget = crate::column::budget_test_lock();
         let t = table_with(20_000); // 5 chunks
         let exprs = [
             agg(AggregateFn::StdDev, Some("x")),

@@ -96,7 +96,12 @@ impl Index {
 
     /// Row ids with exactly this key.
     pub fn get(&self, key: &Value) -> Vec<RowId> {
-        self.map.get(key).cloned().unwrap_or_default()
+        self.lookup(key).to_vec()
+    }
+
+    /// Row ids with exactly this key, ascending, without copying.
+    pub fn lookup(&self, key: &Value) -> &[RowId] {
+        self.map.get(key).map_or(&[], Vec::as_slice)
     }
 
     /// Row ids with keys in the given (inclusive/exclusive) bounds, in key

@@ -21,6 +21,7 @@ use crate::error::{DbError, Result};
 use crate::exec::select::{resolve_table, IndexChoice, TableSource};
 use crate::exec::vector;
 use crate::sql::ast::{Expr, JoinKind, OrderItem, Projection, Select, TableRef};
+use crate::table::RowId;
 
 /// How a [`ScanNode`] reads its table — the physical access decision
 /// folded out of the old per-statement heuristics in `exec/select.rs`.
@@ -37,6 +38,28 @@ pub(crate) enum Access {
     /// first, this order is exactly the stable `ORDER BY col ASC` order
     /// — which is what lets the sort-elision rule remove the Sort node.
     IndexOrder { index_name: String, column: String },
+    /// Base scan of a join: the base index's rows for the keys that an
+    /// INNER join's filtered right side (`from`) produces, in ascending
+    /// row-id order — the rows a full scan would keep through that join,
+    /// in the same order.
+    SemiJoin {
+        ids: Vec<RowId>,
+        index_name: String,
+        /// Base column the index covers (the join's left key).
+        column: usize,
+        from: String,
+        keys: usize,
+    },
+    /// Join right side: fetch only the rows whose key matches a distinct
+    /// left key, through the index on the right join column, in
+    /// ascending row-id order (the order a full scan would see them).
+    /// `est_keys` bounds the left keys and `rows_per_key` is the index's
+    /// mean, the statistics that justified the choice.
+    Probe {
+        index_name: String,
+        est_keys: usize,
+        rows_per_key: usize,
+    },
     /// Vectorized aggregate kernels over column chunks; carries the
     /// compiled plan plus the statistics that justified it.
     Columnar {
@@ -255,6 +278,38 @@ pub(crate) fn base_scan_mut<'p, 'a>(node: &'p mut LogicalPlan<'a>) -> Option<&'p
         | LogicalPlan::Sort { input, .. }
         | LogicalPlan::Limit { input, .. } => base_scan_mut(input),
         LogicalPlan::Empty => None,
+    }
+}
+
+/// The scans of the pipeline in join order: the base first, then each
+/// join's right side with its kind and ON condition.
+pub(crate) type ChainLink<'p, 'a> = (&'p mut ScanNode<'a>, Option<(JoinKind, Option<&'p Expr>)>);
+
+/// Collect the scan chain of a plan (see [`ChainLink`]), walking through
+/// the operator tail like [`base_scan_mut`].
+pub(crate) fn scan_chain_mut<'p, 'a>(
+    node: &'p mut LogicalPlan<'a>,
+    out: &mut Vec<ChainLink<'p, 'a>>,
+) {
+    match node {
+        LogicalPlan::Scan(s) => out.push((s, None)),
+        LogicalPlan::Join {
+            left,
+            right,
+            kind,
+            on,
+        } => {
+            scan_chain_mut(left, out);
+            let on: &'p Option<Expr> = on;
+            out.push((right, Some((*kind, on.as_ref()))));
+        }
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Distinct { input }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => scan_chain_mut(input, out),
+        LogicalPlan::Empty => {}
     }
 }
 

@@ -9,8 +9,9 @@
 //!    pushdown, join reordering, sort elision, LIMIT pushdown,
 //!    projection pruning), recording a trail of what fired.
 //! 3. [`cost::decide_access`] picks each scan's physical access method
-//!    (columnar / index / index-order / seq) from table and index
-//!    statistics. This runs even with the optimizer off.
+//!    (columnar / index / index-order / semi-join / index probe / seq)
+//!    from table and index statistics. This runs even with the
+//!    optimizer off.
 //!
 //! The executor and the EXPLAIN renderer in `exec::select` both consume
 //! the resulting [`ir::PlannedSelect`], so the printed plan cannot

@@ -193,22 +193,23 @@ impl Table {
     /// Insert at a specific row id (WAL replay only). The slot must be free.
     pub fn insert_at(&mut self, id: RowId, row: Row) -> Result<()> {
         let idx = id as usize;
-        if idx >= self.rows.len() {
+        let old_len = self.rows.len();
+        if idx >= old_len {
             self.rows.resize(idx + 1, None);
-            // any gap slots become free
-            for gap in (self.rows.len().saturating_sub(idx + 1))..idx {
-                if self.rows[gap].is_none() && !self.free.contains(&(gap as RowId)) {
-                    self.free.push(gap as RowId);
-                }
-            }
-        }
-        if self.rows[idx].is_some() {
+            // Only the slots this resize created can be new gaps, and none
+            // of them is on the free list yet; scanning from 0 would make
+            // replay quadratic in the table size.
+            self.free.extend((old_len..idx).map(|gap| gap as RowId));
+        } else if self.rows[idx].is_some() {
             return Err(DbError::Corrupt(format!(
                 "WAL replay: slot {id} in {} already occupied",
                 self.schema.name
             )));
+        } else if let Some(pos) = self.free.iter().rposition(|&f| f == id) {
+            // Replayed inserts reuse slots in the order `insert` popped
+            // them, so the slot is almost always at the end of the list.
+            self.free.remove(pos);
         }
-        self.free.retain(|&f| f != id);
         let row = self.prepare_row(row)?;
         self.check_unique(&row, None)?;
         if let Some(pk) = self.schema.primary_key_index() {

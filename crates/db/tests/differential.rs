@@ -829,13 +829,23 @@ fn decode_join_query(seed: u64) -> JoinQuery {
     let second_on_base = pick(&mut r, 2) == 0;
     let width = if with_w { 9 } else { 7 };
     let pred = (pick(&mut r, 3) != 0).then(|| decode_jpred(&mut r, 0, width));
-    let shape = if pick(&mut r, 2) == 0 {
-        let ncols = 1 + pick(&mut r, 4) as usize;
-        let cols = (0..ncols)
-            .map(|_| pick(&mut r, width as u64) as usize)
-            .collect();
-        let limit =
-            (pick(&mut r, 3) == 0).then(|| (pick(&mut r, 30) as usize, pick(&mut r, 6) as usize));
+    let shape = decode_join_shape(&mut r, with_w);
+    JoinQuery {
+        left_join,
+        on_extra,
+        with_w,
+        second_on_base,
+        pred,
+        shape,
+    }
+}
+
+fn decode_join_shape(r: &mut u64, with_w: bool) -> JoinShape {
+    let width = if with_w { 9 } else { 7 };
+    if pick(r, 2) == 0 {
+        let ncols = 1 + pick(r, 4) as usize;
+        let cols = (0..ncols).map(|_| pick(r, width as u64) as usize).collect();
+        let limit = (pick(r, 3) == 0).then(|| (pick(r, 30) as usize, pick(r, 6) as usize));
         JoinShape::Project { cols, limit }
     } else {
         let num_cols: &[usize] = if with_w {
@@ -843,11 +853,11 @@ fn decode_join_query(seed: u64) -> JoinQuery {
         } else {
             &[JCOL_TA, JCOL_TB, 2, JCOL_UK, JCOL_UD, 6]
         };
-        let n = 1 + pick(&mut r, 3) as usize;
+        let n = 1 + pick(r, 3) as usize;
         let aggs = (0..n)
             .map(|_| {
-                let col = num_cols[pick(&mut r, num_cols.len() as u64) as usize];
-                match pick(&mut r, 5) {
+                let col = num_cols[pick(r, num_cols.len() as u64) as usize];
+                match pick(r, 5) {
                     0 => AggSpec::CountStar,
                     1 => AggSpec::Count(col),
                     2 => AggSpec::Sum(col),
@@ -857,14 +867,6 @@ fn decode_join_query(seed: u64) -> JoinQuery {
             })
             .collect();
         JoinShape::Aggregate { aggs }
-    };
-    JoinQuery {
-        left_join,
-        on_extra,
-        with_w,
-        second_on_base,
-        pred,
-        shape,
     }
 }
 
@@ -1020,10 +1022,10 @@ fn build_join_connection(t: &[Vec<Value>], u: &[Vec<Value>], w: &[Vec<Value>]) -
         .expect("create u");
     conn.execute("CREATE TABLE w (x INTEGER, y TEXT)", &[])
         .expect("create w");
-    // A right-side index exercises the cost pass's base-scan-only rule
-    // (right scans must stay sequential or join output would permute).
-    // No index on t: an index scan returns rows in key order, which the
-    // insertion-order oracle deliberately does not model.
+    // A right-side index lets the cost pass probe u instead of scanning
+    // it, which must not permute join output. No index on t here: an
+    // index scan returns rows in key order, which the insertion-order
+    // oracle deliberately does not model.
     conn.execute("CREATE INDEX ix_u_k ON u (k)", &[]).unwrap();
     if !u.is_empty() {
         conn.bulk_insert("u", &["k", "d", "v"], u.to_vec())
@@ -1082,6 +1084,159 @@ proptest! {
                         legs[0].1 == *rows,
                         "{name} leg not bit-identical to the optimized serial leg\n  sql: {}\n  optimized: {:?}\n  leg: {:?}",
                         sql, legs[0].1, rows,
+                    );
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Index-driven joins
+// ---------------------------------------------------------------------------
+//
+// `t JOIN u ON t.b = u.k` with both join columns indexed, a selective
+// predicate on the base (`t.a`) and one on the dimension (`u.d`). Padding
+// rows whose keys match nothing make both selective by construction: at
+// most n of the 4n + 4 base rows and 2 rows per key of u can be read. So
+// in every leg the cost pass must reduce the base through a semi-join on
+// `ix_t_b` and probe u through `ix_u_k` — EXPLAIN confirms both — and
+// every leg must still match the index-blind oracle, row order included.
+
+/// A leaf predicate over one integer column, with constants drawn from
+/// `lo..lo + span`.
+fn decode_col_pred(r: &mut u64, col: usize, lo: i64, span: u64) -> Pred {
+    let k = |r: &mut u64| pick(r, span) as i64 + lo;
+    match pick(r, 3) {
+        0 => {
+            let op = [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ][pick(r, 6) as usize];
+            Pred::Cmp(col, op, k(r))
+        }
+        1 => {
+            let low = k(r);
+            Pred::Between(col, low, low + pick(r, 3) as i64)
+        }
+        _ => Pred::InList(col, (0..1 + pick(r, 2)).map(|_| k(r)).collect()),
+    }
+}
+
+fn decode_selective_join_query(seed: u64) -> JoinQuery {
+    let mut r = seed;
+    let base = decode_col_pred(&mut r, JCOL_TA, -20, 41);
+    let dim = decode_col_pred(&mut r, JCOL_UD, -1, 7);
+    let pred = if pick(&mut r, 2) == 0 {
+        Pred::And(Box::new(base), Box::new(dim))
+    } else {
+        Pred::And(Box::new(dim), Box::new(base))
+    };
+    JoinQuery {
+        left_join: false,
+        on_extra: false,
+        with_w: false,
+        second_on_base: false,
+        pred: Some(pred),
+        shape: decode_join_shape(&mut r, false),
+    }
+}
+
+/// Rows of t and u that join nothing: base keys 100.. never occur in u,
+/// dimension keys 1000.. never occur in t, and NULL `u.d` fails every
+/// dimension predicate.
+fn pad_for_selectivity(t: &mut Vec<Vec<Value>>, u: &mut Vec<Vec<Value>>) {
+    let (nt, nu) = (t.len(), u.len());
+    t.extend((0..3 * nt + 4).map(|i| {
+        vec![
+            Value::Int(0),
+            Value::Int(100 + i as i64),
+            Value::Null,
+            Value::Null,
+        ]
+    }));
+    u.extend((0..4 * nu + 20).map(|i| vec![Value::Int(1000 + i as i64), Value::Null, Value::Null]));
+}
+
+fn engine_plan(
+    conn: &Connection,
+    sql: &str,
+    threads: usize,
+    cfg: perfdmf_db::OptimizerConfig,
+) -> String {
+    let _p = pool::override_for_thread(threads, 1);
+    let _c = override_columnar(ColumnarMode::Off);
+    let _o = perfdmf_db::override_optimizer(cfg);
+    let rs = conn.query(&format!("EXPLAIN {sql}"), &[]).expect("EXPLAIN");
+    rs.rows
+        .iter()
+        .map(|r| r[0].to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+proptest! {
+    /// The semi-join and the index probe fire on the selective shape in
+    /// every leg, and every leg matches the oracle; projections match the
+    /// optimized serial leg row for row.
+    #[test]
+    fn index_driven_joins_match_oracle_across_legs(
+        t_seeds in proptest::collection::vec(0u64..=u64::MAX, 0..60),
+        u_seeds in proptest::collection::vec(0u64..=u64::MAX, 0..40),
+        query_seeds in proptest::collection::vec(0u64..=u64::MAX, 3..7),
+    ) {
+        let mut t: Vec<Vec<Value>> = t_seeds.iter().map(|s| decode_row(*s)).collect();
+        let mut u: Vec<Vec<Value>> = u_seeds.iter().map(|s| decode_u_row(*s)).collect();
+        pad_for_selectivity(&mut t, &mut u);
+        let conn = build_join_connection(&t, &u, &[]);
+        // Ascending semi-join candidates keep the base in insertion
+        // order, which the oracle models; no predicate here ranges over
+        // t.b, so the index never drives a key-order base scan.
+        conn.execute("CREATE INDEX ix_t_b ON t (b)", &[]).unwrap();
+
+        for seed in &query_seeds {
+            let query = decode_selective_join_query(*seed);
+            let sql = join_query_sql(&query);
+            let expected = oracle_join_run(&query, &t, &u, &[]);
+
+            let all_on = perfdmf_db::OptimizerConfig::all_on();
+            let off = perfdmf_db::OptimizerConfig::disabled();
+            let rule = RULE_NAMES[(*seed % 5) as usize];
+            let legs = [
+                ("optimized serial", 1, all_on),
+                ("optimized 4-way", 4, all_on),
+                ("optimizer-off serial", 1, off),
+                ("optimizer-off 4-way", 4, off),
+                (rule, 1, perfdmf_db::OptimizerConfig::without(rule)),
+            ];
+            let mut results = Vec::new();
+            for (name, threads, cfg) in legs {
+                let plan = engine_plan(&conn, &sql, threads, cfg);
+                prop_assert!(
+                    plan.contains("semi-join via ix_t_b from u")
+                        && plan.contains("inner index-probe join with u ")
+                        && plan.contains("via ix_u_k"),
+                    "{name} leg did not reduce and probe\n  sql: {}\n  plan:\n{}",
+                    sql, plan,
+                );
+                let rows = engine_rows(&conn, &sql, threads, cfg)?;
+                prop_assert!(
+                    rows_match(&rows, &expected),
+                    "{name} leg diverged from oracle\n  sql: {}\n  engine: {:?}\n  oracle: {:?}\n  t: {:?}\n  u: {:?}",
+                    sql, rows, expected, t, u,
+                );
+                results.push((name, rows));
+            }
+            if matches!(query.shape, JoinShape::Project { .. }) {
+                for (name, rows) in &results[1..] {
+                    prop_assert!(
+                        results[0].1 == *rows,
+                        "{name} leg not bit-identical to the optimized serial leg\n  sql: {}",
+                        sql,
                     );
                 }
             }

@@ -217,3 +217,59 @@ fn wide_rows_and_long_strings() {
         .unwrap();
     assert_eq!(n, 200);
 }
+
+/// Best-of-three wall time of reopening `dir`, checking the row count.
+fn reopen_secs(dir: &std::path::Path, rows: usize) -> f64 {
+    (0..3)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let conn = Connection::open(dir).unwrap();
+            let secs = t0.elapsed().as_secs_f64();
+            assert_eq!(conn.row_count("samples").unwrap(), rows);
+            secs
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Reopening replays the WAL (or reads the snapshot) row by row, so its
+/// cost per row must not grow with the table: a 10x larger table may
+/// cost at most 3x more per row. A replay that rescans the slab for
+/// every row (quadratic) measured about 8x here.
+#[test]
+fn reopen_cost_per_row_is_bounded_across_a_10x_step() {
+    let per_row = |rows: usize, checkpoint: bool| {
+        let dir = std::env::temp_dir().join(format!(
+            "pdmf_stress_reopen_{rows}_{checkpoint}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let conn = Connection::open(&dir).unwrap();
+            schema(&conn);
+            for start in (0..rows).step_by(1000) {
+                let batch = (start..(start + 1000).min(rows))
+                    .map(|i| vec![Value::Int((i % 4) as i64), Value::Float(i as f64)])
+                    .collect();
+                conn.bulk_insert("samples", &["series", "v"], batch)
+                    .unwrap();
+            }
+            if checkpoint {
+                conn.checkpoint().unwrap();
+            }
+        }
+        let secs = reopen_secs(&dir, rows);
+        std::fs::remove_dir_all(&dir).unwrap();
+        secs / rows as f64
+    };
+    for checkpoint in [false, true] {
+        let small = per_row(4_000, checkpoint);
+        let large = per_row(40_000, checkpoint);
+        let ratio = large / small;
+        assert!(
+            ratio < 3.0,
+            "reopen (checkpoint: {checkpoint}) cost {:.2} µs/row at 4k rows but {:.2} µs/row at 40k ({ratio:.1}x)",
+            small * 1e6,
+            large * 1e6
+        );
+    }
+}

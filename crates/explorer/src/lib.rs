@@ -58,6 +58,33 @@ mod tests {
     }
 
     #[test]
+    fn result_lookup_is_indexed_and_restart_is_idempotent() {
+        let (conn, _) = setup();
+        // An archive written before the settings index existed.
+        for ddl in &ANALYSIS_DDL[..2] {
+            conn.execute(ddl, &[]).unwrap();
+        }
+        let plan = |conn: &Connection| {
+            conn.query(
+                "EXPLAIN SELECT value FROM analysis_result WHERE settings = 1",
+                &[],
+            )
+            .unwrap()
+            .rows[0][0]
+                .to_string()
+        };
+        assert!(plan(&conn).starts_with("seq scan"), "{}", plan(&conn));
+        for _ in 0..2 {
+            AnalysisServer::start(conn.clone(), 1).unwrap().shutdown();
+        }
+        assert!(
+            plan(&conn).starts_with("index scan on analysis_result"),
+            "{}",
+            plan(&conn)
+        );
+    }
+
+    #[test]
     fn end_to_end_clustering() {
         let (conn, trial) = setup();
         let server = AnalysisServer::start(conn.clone(), 2).unwrap();

@@ -43,7 +43,23 @@ pub const ANALYSIS_DDL: &[&str] = &[
         item INTEGER,
         value DOUBLE,
         label TEXT)",
+    // `FetchResult` reads one settings row's results; without the index
+    // it scans every stored result.
+    "CREATE INDEX ix_ar_settings ON analysis_result (settings)",
 ];
+
+/// True once `analysis_result.settings` is indexed. The index statement
+/// of [`ANALYSIS_DDL`] runs only when this is false, so restarting on an
+/// archive is idempotent and an archive written before the index existed
+/// gains it.
+fn settings_indexed(conn: &Connection) -> perfdmf_db::Result<bool> {
+    let indexed = conn.query_scalar(
+        "SELECT indexed FROM perfdmf_columns
+         WHERE table_name = 'analysis_result' AND column_name = 'settings'",
+        &[],
+    )?;
+    Ok(indexed == Value::Bool(true))
+}
 
 /// A queued request: what to do, where to reply, when it was submitted
 /// (for the `explorer.queue_wait_ns` histogram), and the optional
@@ -114,6 +130,9 @@ impl AnalysisServer {
         queue_capacity: usize,
     ) -> perfdmf_db::Result<AnalysisServer> {
         for ddl in ANALYSIS_DDL {
+            if ddl.starts_with("CREATE INDEX") && settings_indexed(&conn)? {
+                continue;
+            }
             conn.execute(ddl, &[])?;
         }
         let (tx, rx) = bounded::<Job>(queue_capacity.max(1));
